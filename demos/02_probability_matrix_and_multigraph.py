@@ -8,6 +8,9 @@ block rows.  Column i*2^n + j holds the node distribution reached from
 multigraph: one weighted arc per (coin, source, destination).
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from walkcomplement import PerturbedCoin, ShiftModel, evolution_operator, hadamard_coin, shift_operator
@@ -39,14 +42,16 @@ for target in range(4):
 
 # --- exports ----------------------------------------------------------------
 mp = probability_matrix(complement_operator(1), steps=1)
-save_probability_matrix(mp, "/tmp/walk_mp.csv")
-print("wrote /tmp/walk_mp.csv and /tmp/walk_mp.csv.json (column-block names)")
+mp_path = os.path.join(tempfile.gettempdir(), "walk_mp.csv")
+save_probability_matrix(mp, mp_path)
+print(f"wrote {mp_path} and {mp_path}.json (column-block names)")
 
 graph = collapse_multigraph(complement_operator(1), steps=1)
 dot = multigraph_to_dot(graph)
-with open("/tmp/walk_collapsed.dot", "w") as fh:
+dot_path = os.path.join(tempfile.gettempdir(), "walk_collapsed.dot")
+with open(dot_path, "w") as fh:
     fh.write(dot)
-print(f"wrote /tmp/walk_collapsed.dot with {len(graph.arcs)} arcs")
+print(f"wrote {dot_path} with {len(graph.arcs)} arcs")
 print()
 print("arcs into node 1 for coin block 0 (the suppressed ones):")
 for arc in graph.arcs:

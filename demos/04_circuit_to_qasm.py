@@ -8,6 +8,9 @@ For two position qubits the oracle lowers to CNOTs plus controlled gates
 whose target block is a square root of H.
 """
 
+import os
+import tempfile
+
 from walkcomplement.circuit import (
     circuit_to_unitary,
     deviation_up_to_global_phase,
@@ -37,6 +40,7 @@ print()
 # --- export ------------------------------------------------------------------
 qasm = export_qasm(synthesize_complement_circuit(2, 3, decompose=True))
 print(qasm)
-with open("/tmp/walk_complement_t3.qasm", "w") as fh:
+qasm_path = os.path.join(tempfile.gettempdir(), "walk_complement_t3.qasm")
+with open(qasm_path, "w") as fh:
     fh.write(qasm)
-print("wrote /tmp/walk_complement_t3.qasm")
+print(f"wrote {qasm_path}")

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, complement, graphs, linalg, probability, sampling, walk
+from . import __version__, complement, graphs, probability, sampling, walk
 from .circuit import export_qasm, synthesize_complement_circuit
 from .complement import ComplementSpec, CrossValidationError, Method
 from .graphs import ShiftModel
@@ -92,8 +92,9 @@ def _check_node_index(args, name: str) -> None:
 
 def _validate(args) -> None:
     if args.command == "verify":
-        if args.n_max < 1:
-            raise UsageError("--n-max must be >= 1")
+        if not 1 <= args.n_max <= complement.MAX_DENSE_QUBITS:
+            raise UsageError(f"--n-max must be in 1..{complement.MAX_DENSE_QUBITS}, "
+                             f"the dense-path cap")
         return
     if args.n < 1:
         raise UsageError("--n must be >= 1")
@@ -103,6 +104,8 @@ def _validate(args) -> None:
         raise UsageError("--steps must be >= 1")
     if getattr(args, "shots", 1) < 1:
         raise UsageError("--shots must be >= 1")
+    if getattr(args, "seed", 0) < 0:
+        raise UsageError("--seed must be >= 0")
 
 
 _NATIVE_FORMAT = {"simulate": "json", "probmatrix": "csv", "collapse": "dot",
@@ -237,22 +240,22 @@ def cmd_sample(args) -> int:
 
 def cmd_verify(args) -> int:
     failures = []
-    n_max = min(args.n_max, complement.MAX_DENSE_QUBITS)
     try:
-        report = complement.cross_validate(n_max)
-        print(f"cross-validate n<=1..{n_max}: OK, {report.cases} cases, "
+        report = complement.cross_validate(args.n_max)
+        print(f"cross-validate n<=1..{args.n_max}: OK, {report.cases} cases, "
               f"max deviation {report.max_deviation:.3e}")
     except CrossValidationError as exc:
         print(f"cross-validate: FAIL: {exc}")
         failures.append(str(exc))
     for model in ShiftModel:
-        for n in range(1, min(n_max, 5) + 1):
-            op = graphs.shift_operator(n, model)
-            ok = graphs.verify_kraus(op) and linalg.is_unitary(op.matrix)
-            status = "OK" if ok else "FAIL"
-            print(f"shift {model.value} n={n}: Kraus+unitarity {status}")
-            if not ok:
+        for n in range(1, min(args.n_max, 5) + 1):
+            try:
+                graphs.shift_operator(n, model)
+                status = "OK"
+            except ValueError:
+                status = "FAIL"
                 failures.append(f"shift {model.value} n={n}")
+            print(f"shift {model.value} n={n}: Kraus+unitarity {status}")
     if args.operator:
         try:
             op = graphs.load_shift_operator(args.operator)
@@ -294,7 +297,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

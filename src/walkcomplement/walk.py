@@ -147,9 +147,12 @@ def evolution_operator(shift: ShiftOperator, coin: CoinSpec,
     """
     n = shift.n
     cop = coin_operator(coin, n)
-    if cop.shape != shift.matrix.shape:
-        raise ValueError(f"coin operator {cop.shape} does not match shift {shift.matrix.shape}")
-    u = shift.matrix @ cop
+    dim = shift.perm.size
+    if cop.shape != (dim, dim):
+        raise ValueError(f"coin operator {cop.shape} does not match shift {(dim, dim)}")
+    # S|k> = |perm[k]>, so row k of C becomes row perm[k] of S C
+    u = np.empty_like(cop)
+    u[shift.perm] = cop
     if with_init_layer:
         h = hadamard_coin(n)
         u = u @ np.kron(h, h)

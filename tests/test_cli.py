@@ -230,3 +230,42 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 def test_missing_required_flag_is_usage_error(capsys):
     assert main(["simulate", "--n", "2"]) == 2
+
+
+def test_sample_negative_seed_is_usage_error(capsys):
+    code, _, err = run(capsys, "sample", "--n", "2", "--target", "1", "--seed", "-1")
+    assert code == 2
+    assert "--seed" in err
+
+
+@pytest.mark.parametrize("n_max", ["0", "7", "9"])
+def test_verify_n_max_outside_dense_cap_is_usage_error(capsys, n_max):
+    code, out, err = run(capsys, "verify", "--n-max", n_max)
+    assert code == 2
+    assert "--n-max" in err and "1..6" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("n", ["58", "60"])
+def test_simulate_closed_form_too_large_reports_error(capsys, n):
+    # 2^58 float64 entries (2 EiB) exceed any address space, so numpy raises
+    # MemoryError before touching memory; at n=60 the byte count overflows
+    # and numpy raises ValueError instead.  Both must end in exit 1.
+    code, out, err = run(capsys, "simulate", "--n", n, "--target", "0",
+                         "--method", "closed-form")
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
+def test_verify_rejects_unitary_that_is_not_a_permutation(capsys, tmp_path):
+    sqrt_x = np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]) / 2
+    m = np.zeros((4, 4), dtype=complex)
+    m[:2, :2] = sqrt_x
+    m[2:, 2:] = sqrt_x.conj().T
+    assert linalg.is_unitary(m)
+    path = tmp_path / "op.csv"
+    linalg.save_matrix_csv(m, path)
+    code, out, _ = run(capsys, "verify", "--n-max", "1", "--operator", str(path))
+    assert code == 1
+    assert "FAIL" in out and "Kraus" in out

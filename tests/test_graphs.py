@@ -140,3 +140,109 @@ def test_load_shift_operator_rejects_corrupted(tmp_path):
     linalg.save_matrix_csv(np.ones((16, 16)) / 4.0, path)
     with pytest.raises(ValueError, match="Kraus"):
         graphs.load_shift_operator(path)
+
+
+def _random_permutation_matrix(rng, dim):
+    m = np.zeros((dim, dim))
+    m[rng.permutation(dim), np.arange(dim)] = 1.0
+    return m
+
+
+def _structurally_valid(m):
+    try:
+        graphs._permutation_of(m, "test matrix")
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_structural_check_agrees_with_dense_kraus(n):
+    n_blocks = 2**n
+    dim = n_blocks**2
+    rng = np.random.default_rng(20240527 + n)
+    for _ in range(50):
+        perm = _random_permutation_matrix(rng, dim)
+        assert _structurally_valid(perm)
+        assert graphs.kraus_conditions_hold(perm, n_blocks, 1e-10)
+
+        # move the 1 of one column onto a row another column already uses
+        moved = perm.copy()
+        k, other = rng.choice(dim, size=2, replace=False)
+        moved[:, k] = 0.0
+        moved[np.argmax(perm[:, other]), k] = 1.0
+        assert not _structurally_valid(moved)
+        assert not graphs.kraus_conditions_hold(moved, n_blocks, 1e-10)
+
+        duplicated = perm.copy()
+        duplicated[:, k] = perm[:, other]
+        assert not _structurally_valid(duplicated)
+        assert not graphs.kraus_conditions_hold(duplicated, n_blocks, 1e-10)
+
+        # arbitrary 0/1 matrices, about one 1 per column
+        noise = (rng.random((dim, dim)) < 1.0 / dim).astype(float)
+        assert _structurally_valid(noise) == graphs.kraus_conditions_hold(
+            noise, n_blocks, 1e-10)
+
+
+def _random_unitary(dim, rng):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim))
+                        + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _block_column_condition(m, n_blocks, tol):
+    """sum_i B_ik^dag B_il == delta_kl I, written out block by block."""
+    nn = m.shape[0] // n_blocks
+
+    def block(i, k):
+        return m[i * nn:(i + 1) * nn, k * nn:(k + 1) * nn]
+
+    for k in range(n_blocks):
+        for l in range(n_blocks):
+            total = sum(block(i, k).conj().T @ block(i, l) for i in range(n_blocks))
+            if np.abs(total - (k == l) * np.eye(nn)).max() >= tol:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n_blocks,nn", [(2, 2), (4, 4), (2, 8)])
+def test_kraus_conditions_agree_with_unitarity_and_block_sums(n_blocks, nn):
+    rng = np.random.default_rng(97 * n_blocks + nn)
+    dim = n_blocks * nn
+    for _ in range(10):
+        u = _random_unitary(dim, rng)
+        for eps, expected in [(0.0, True), (1e-14, True), (1e-6, False), (1e-2, False)]:
+            m = u + eps * rng.standard_normal((dim, dim))
+            kraus = graphs.kraus_conditions_hold(m, n_blocks, 1e-10)
+            assert kraus == expected
+            assert kraus == linalg.is_unitary(m, 1e-10)
+            assert kraus == _block_column_condition(m, n_blocks, 1e-10)
+
+
+def test_load_shift_operator_rejects_unitary_that_is_not_a_permutation(tmp_path):
+    # diag(sqrt X, sqrt X^dag) is unitary and its blocks satisfy the Kraus
+    # conditions, but its entries are not 0/1, so it is not a shift
+    sqrt_x = np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]) / 2
+    m = np.zeros((4, 4), dtype=complex)
+    m[:2, :2] = sqrt_x
+    m[2:, 2:] = sqrt_x.conj().T
+    assert graphs.kraus_conditions_hold(m, 2)
+    path = tmp_path / "sqrtx.csv"
+    linalg.save_matrix_csv(m, path)
+    with pytest.raises(ValueError, match="Kraus"):
+        graphs.load_shift_operator(path)
+
+
+@pytest.mark.parametrize("model", list(ShiftModel))
+@pytest.mark.parametrize("n", range(1, 4))
+def test_shift_perm_matches_matrix(model, n):
+    op = graphs.shift_operator(n, model)
+    n_nodes = 2**n
+    k = np.arange(n_nodes**2)
+    coin, pos = np.divmod(k, n_nodes)
+    expected = coin * n_nodes + (pos ^ coin) if model is ShiftModel.CNOT \
+        else pos * n_nodes + coin
+    np.testing.assert_array_equal(op.perm, expected)
+    m = op.matrix
+    assert np.all(m[op.perm, k] == 1) and m.sum() == n_nodes**2

@@ -208,3 +208,11 @@ def test_walker_state_csv_round_trip(tmp_path):
     state.save_csv(path)
     loaded = walk.WalkerState.load_csv(2, path)
     np.testing.assert_array_equal(loaded.amplitudes, state.amplitudes)
+
+
+def test_evolution_operator_applies_shift_permutation_direction():
+    # a 4-cycle is not an involution, so S and S^-1 give different products
+    shift = graphs.ShiftOperator(perm=np.array([1, 2, 3, 0]), model=None, n=1)
+    coin = UniformCoin(walk.hadamard_coin(1))
+    op = walk.evolution_operator(shift, coin)
+    np.testing.assert_array_equal(op.matrix, shift.matrix @ walk.coin_operator(coin, 1))
