@@ -20,7 +20,8 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-_H1 = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
+from . import linalg
+
 _X1 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 
 # Euler angles whose controlled-U target block is the principal square root of
@@ -150,74 +151,30 @@ def controlled_u_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
     Basis index is (target_bit << 1) | control_bit: identity on the control-0
     subspace, :func:`u_target_block` on the control-1 subspace.
     """
-    u = u_target_block(theta, phi, lam)
-    out = np.eye(4, dtype=np.complex128)
-    out[1, 1] = u[0, 0]
-    out[1, 3] = u[0, 1]
-    out[3, 1] = u[1, 0]
-    out[3, 3] = u[1, 1]
-    return out
-
-
-def _cnot_matrix() -> np.ndarray:
-    # index = (target_bit << 1) | control_bit
-    m = np.zeros((4, 4), dtype=np.complex128)
-    m[0, 0] = m[2, 2] = 1.0
-    m[3, 1] = m[1, 3] = 1.0
-    return m
-
-
-def _mcmt_matrix(gate: MultiControlledHadamard) -> np.ndarray:
-    """Small matrix over (controls, targets), controls on the low index bits."""
-    nc = len(gate.controls)
-    nt = len(gate.targets)
-    h_all = np.array([[1.0 + 0j]])
-    for _ in range(nt):
-        h_all = np.kron(h_all, _H1)
-    eye_t = np.eye(2**nt)
-    out = np.zeros((2**(nc + nt), 2**(nc + nt)), dtype=np.complex128)
-    for pattern in range(2**nc):
-        fires = all(
-            ((pattern >> j) & 1) == (1 if ctl.polarity is Polarity.BLACK else 0)
-            for j, ctl in enumerate(gate.controls)
-        )
-        proj = np.zeros((2**nc, 2**nc))
-        proj[pattern, pattern] = 1.0
-        out += np.kron(h_all if fires else eye_t, proj)
-    return out
-
-
-def _gate_matrix_and_qubits(gate: Gate) -> tuple[np.ndarray, tuple[int, ...]]:
-    if isinstance(gate, HGate):
-        return _H1, (gate.qubit,)
-    if isinstance(gate, XGate):
-        return _X1, (gate.qubit,)
-    if isinstance(gate, CnotGate):
-        return _cnot_matrix(), (gate.control, gate.target)
-    if isinstance(gate, ControlledUGate):
-        return controlled_u_matrix(gate.theta, gate.phi, gate.lam), (gate.control, gate.target)
-    return _mcmt_matrix(gate), _gate_qubits(gate)
-
-
-def _apply_to_rows(u: np.ndarray, small: np.ndarray, qubits: tuple[int, ...],
-                   n_qubits: int) -> np.ndarray:
-    """Left-multiply ``u`` by a small gate acting on the given row-index qubits."""
-    k = len(qubits)
-    cols = u.shape[1]
-    t = u.reshape((2,) * n_qubits + (cols,))
-    # axis of qubit q in the C-order reshape is n_qubits - 1 - q
-    front = [n_qubits - 1 - qubits[j] for j in reversed(range(k))]
-    rest = [ax for ax in range(n_qubits + 1) if ax not in front]
-    perm = front + rest
-    t = np.transpose(t, perm)
-    rest_shape = t.shape[k:]
-    t = small @ t.reshape(2**k, -1)
-    t = t.reshape((2,) * k + rest_shape)
-    t = np.transpose(t, np.argsort(perm))
-    return t.reshape(2**n_qubits, cols)
+    return circuit_to_unitary(Circuit(2, (ControlledUGate(0, 1, theta, phi, lam),)))
 
 
 MAX_UNITARY_QUBITS = 12
+
+
+def apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
+    """Run the gates in place on ``state`` (columns of 2^n_qubits amplitudes) and return it."""
+    k = c.n_qubits
+    for gate in c.gates:
+        if isinstance(gate, HGate):
+            linalg.apply_hadamard(state, k, (gate.qubit,))
+        elif isinstance(gate, XGate):
+            linalg.apply_gate(state, k, _X1, gate.qubit)
+        elif isinstance(gate, CnotGate):
+            linalg.apply_gate(state, k, _X1, gate.target, ((gate.control, 1),))
+        elif isinstance(gate, ControlledUGate):
+            linalg.apply_gate(state, k, u_target_block(gate.theta, gate.phi, gate.lam),
+                              gate.target, ((gate.control, 1),))
+        else:
+            controls = tuple((ctl.qubit, int(ctl.polarity is Polarity.BLACK))
+                             for ctl in gate.controls)
+            linalg.apply_hadamard(state, k, gate.targets, controls)
+    return state
 
 
 def circuit_to_unitary(c: Circuit) -> np.ndarray:
@@ -225,11 +182,7 @@ def circuit_to_unitary(c: Circuit) -> np.ndarray:
     if c.n_qubits > MAX_UNITARY_QUBITS:
         raise ValueError(f"unitary reconstruction capped at {MAX_UNITARY_QUBITS} qubits, "
                          f"got {c.n_qubits}")
-    u = np.eye(2**c.n_qubits, dtype=np.complex128)
-    for gate in c.gates:
-        small, qubits = _gate_matrix_and_qubits(gate)
-        u = _apply_to_rows(u, small, qubits, c.n_qubits)
-    return u
+    return apply_circuit(c, np.eye(2**c.n_qubits, dtype=np.complex128))
 
 
 def split_targets(gate: MultiControlledHadamard) -> list[MultiControlledHadamard]:

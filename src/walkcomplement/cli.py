@@ -116,15 +116,12 @@ _ALLOWED_FORMATS = {"simulate": {"json", "csv"}, "probmatrix": {"csv", "json"},
 
 
 def _pick_format(args) -> str:
-    fmt = args.format
-    if fmt is None and args.out:
-        ext = os.path.splitext(args.out)[1].lstrip(".").lower()
-        if ext in {"json", "csv", "dot", "qasm"}:
-            fmt = ext
-    if fmt is None:
-        fmt = _NATIVE_FORMAT[args.command]
-    if fmt not in _ALLOWED_FORMATS[args.command]:
-        raise UsageError(f"format {fmt!r} is not supported by {args.command!r}")
+    allowed = _ALLOWED_FORMATS[args.command]
+    fmt = args.format or (os.path.splitext(args.out)[1].lstrip(".").lower() if args.out
+                          else _NATIVE_FORMAT[args.command])
+    if fmt not in allowed:
+        raise UsageError(f"format {fmt!r} is not supported by {args.command!r}: use one of "
+                         f"{', '.join(sorted(allowed))}, as the --out extension or with --format")
     return fmt
 
 

@@ -1,19 +1,26 @@
-"""Dense complex linear algebra kernel.
+"""Dense complex linear algebra kernel and the in-place gate engine.
 
 Everything in this package runs on plain ``numpy`` arrays of ``complex128``.
 Operators are dense and row-major; the largest operator handled densely is
 4096 x 4096 (two six-qubit registers), which fits comfortably in memory.
 The functions here add the shape checking and the tolerance conventions the
-rest of the package relies on.
+rest of the package relies on.  :func:`apply_gate` applies every gate.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
 # All operators built by this package are exact +-1/sqrt(2^k) combinations,
 # so this tolerance is loose.
 DEFAULT_ATOL = 1e-10
+
+_H1 = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
+
+# Amplitudes per half-block of a gate update: halves and scratch (2 MiB) stay in cache.
+_BLOCK = 1 << 15
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -56,6 +63,64 @@ def apply(m, v) -> np.ndarray:
     if m.shape[1] != v.shape[0]:
         raise ValueError(f"dimension mismatch: {m.shape} @ {v.shape}")
     return m @ v
+
+
+def apply_gate(state: np.ndarray, n_qubits: int, matrix, target: int,
+               controls=()) -> None:
+    """Apply a 2x2 matrix in place to qubit ``target`` of every column of ``state``.
+
+    ``state`` is a C-contiguous complex128 array of 2^n_qubits rows; bit q of
+    the row index is qubit q.  Only rows whose qubits carry the ``(qubit, bit)``
+    pairs in ``controls`` change; no control-space matrix is formed.  A bit
+    flip is a swap.  Work runs in blocks, so the scratch is two blocks.
+    """
+    if state.dtype != np.complex128 or not state.flags.c_contiguous \
+            or state.shape[0] != 2**n_qubits:
+        raise ValueError(f"the state must be a C-contiguous complex128 array of "
+                         f"2^{n_qubits} rows")
+    # qubit q is axis n_qubits - 1 - q of the (2,)*n_qubits + (cols,) view
+    free = slice(None)
+    idx = [free] * (n_qubits + 1)
+    axis = n_qubits - 1 - target
+    for qubit, bit in controls:
+        if not 0 <= qubit < n_qubits or qubit == target or bit not in (0, 1) \
+                or idx[n_qubits - 1 - qubit] is not free:
+            raise ValueError(f"bad target {target} or controls {controls} for {n_qubits} qubits")
+        idx[n_qubits - 1 - qubit] = bit
+    if not 0 <= target < n_qubits:
+        raise ValueError(f"bad target {target} or controls {controls} for {n_qubits} qubits")
+    view = state.reshape((2,) * n_qubits + (-1,))
+    idx[axis] = 0
+    half0 = view[tuple(idx)]
+    idx[axis] = 1
+    half1 = view[tuple(idx)]
+    # loop over leading axes (all of length 2) until a block fits _BLOCK
+    lead = 0
+    while half0.size >> lead > _BLOCK and lead < half0.ndim - 1:
+        lead += 1
+    (m00, m01), (m10, m11) = np.asarray(matrix, dtype=np.complex128).tolist()
+    flip = (m00, m01, m10, m11) == (0, 1, 1, 0)
+    s0 = np.empty(half0.shape[lead:], dtype=np.complex128)
+    s1 = None if flip else np.empty_like(s0)
+    for block in itertools.product((0, 1), repeat=lead):
+        a0, a1 = half0[block], half1[block]
+        if flip:
+            s0[...] = a0
+            a0[...] = a1
+            a1[...] = s0
+        else:
+            np.multiply(a0, m10, out=s0)
+            np.multiply(a1, m01, out=s1)
+            np.multiply(a0, m00, out=a0)
+            np.add(a0, s1, out=a0)
+            np.multiply(a1, m11, out=a1)
+            np.add(a1, s0, out=a1)
+
+
+def apply_hadamard(state: np.ndarray, n_qubits: int, targets=None, controls=()) -> None:
+    """H in place on each target qubit (default: all) of ``state``, under ``controls``."""
+    for target in range(n_qubits) if targets is None else targets:
+        apply_gate(state, n_qubits, _H1, target, controls)
 
 
 def is_unitary(m, tol: float = DEFAULT_ATOL) -> bool:

@@ -18,20 +18,17 @@ from .graphs import ShiftModel, ShiftOperator
 
 NORM_ATOL = 1e-10
 
-_H1 = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
-
 
 def hadamard_coin(n: int) -> np.ndarray:
-    """n-qubit Hadamard operator H^(x)n.
+    """n-qubit Hadamard operator H^(x)n: H applied to every qubit of the identity.
 
     Entry (a, b) equals (-1)^(a.b) / sqrt(2^n), where a.b counts the 1-bits
     the two indices share.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    out = np.array([[1.0 + 0j]])
-    for _ in range(n):
-        out = np.kron(out, _H1)
+    out = np.eye(2**n, dtype=np.complex128)
+    linalg.apply_hadamard(out, n)
     return out
 
 
@@ -150,12 +147,14 @@ def evolution_operator(shift: ShiftOperator, coin: CoinSpec,
     dim = shift.perm.size
     if cop.shape != (dim, dim):
         raise ValueError(f"coin operator {cop.shape} does not match shift {(dim, dim)}")
-    # S|k> = |perm[k]>, so row k of C becomes row perm[k] of S C
-    u = np.empty_like(cop)
-    u[shift.perm] = cop
     if with_init_layer:
-        h = hadamard_coin(n)
-        u = u @ np.kron(h, h)
+        # C H^(x)2n = (H^(x)2n C^T)^T, since H^(x)2n is symmetric
+        cop_t = np.ascontiguousarray(cop.T)
+        linalg.apply_hadamard(cop_t, 2 * n)
+        cop = cop_t.T
+    # S|k> = |perm[k]>, so row k of C becomes row perm[k] of S C
+    u = np.empty((dim, dim), dtype=np.complex128)
+    u[shift.perm] = cop
     return EvolutionOperator(matrix=u, n=n, shift_model=shift.model,
                              coin=coin, init_layer=with_init_layer)
 

@@ -201,7 +201,7 @@ def test_round_trip_fully_decomposed(target):
     assert deviation_up_to_global_phase(u, direct) < 1e-8
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_round_trip_undecomposed_larger_registers(n):
     target = 2**n - 2
     circ = synthesize_complement_circuit(n, target, decompose=False)

@@ -200,6 +200,21 @@ def test_format_rejected_when_unsupported(capsys):
     assert "not supported" in err
 
 
+@pytest.mark.parametrize("argv, allowed", [
+    (["simulate"], ["csv", "json"]),
+    (["qasm", "--decompose"], ["qasm"]),
+])
+def test_out_extension_that_is_no_format_is_usage_error(capsys, tmp_path, argv, allowed):
+    out_path = tmp_path / "x.txt"
+    code, out, err = run(capsys, *argv, "--n", "2", "--target", "1", "--out", str(out_path))
+    assert code == 2
+    assert all(fmt in err for fmt in allowed) and "--format" in err
+    assert not out_path.exists() and out == ""
+    code, _, _ = run(capsys, *argv, "--n", "2", "--target", "1", "--out", str(out_path),
+                     "--format", allowed[-1])
+    assert code == 0 and out_path.exists()
+
+
 def test_verify_ok(capsys):
     code, out, _ = run(capsys, "verify", "--n-max", "2")
     assert code == 0

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import K4_TARGET1_DISTRIBUTION
 from walkcomplement import complement, graphs, linalg, probability, walk
@@ -115,6 +119,35 @@ def test_statevector_independent_of_position_init(n):
         dist = run_complement_statevector(
             ComplementSpec(n=n, target=1 % 2**n, pos_init=s)).distribution
         assert np.abs(dist - base).max() < 1e-12
+
+
+@st.composite
+def specs(draw, n_max=10):
+    n = draw(st.integers(1, n_max))
+    node = st.integers(0, 2**n - 1)
+    return ComplementSpec(n=n, target=draw(node), coin_init=draw(node), pos_init=draw(node))
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs())
+def test_statevector_matches_closed_form(spec):
+    dist = run_complement_statevector(spec).distribution
+    np.testing.assert_allclose(dist, closed_form_distribution(spec).distribution,
+                               rtol=0, atol=1e-12)
+    assert abs(dist.sum() - 1.0) < 1e-12
+    assert np.argmin(dist) == spec.target ^ spec.coin_init
+
+
+def test_statevector_memory_is_about_one_state():
+    spec = ComplementSpec(n=10, target=3, coin_init=5, pos_init=9)
+    run_complement_statevector(spec)  # first call pays for lazy imports and caches
+    tracemalloc.start()
+    try:
+        run_complement_statevector(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 16 * 4**spec.n
 
 
 def test_statevector_size_cap():
