@@ -158,22 +158,44 @@ MAX_UNITARY_QUBITS = 12
 
 
 def apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
-    """Run the gates in place on ``state`` (columns of 2^n_qubits amplitudes) and return it."""
+    """Run the gates in place on ``state`` (columns of 2^n_qubits amplitudes) and return it.
+
+    X gates are deferred: an ``XGate`` only toggles its qubit in a set of
+    flipped qubits, and a control on a flipped qubit fires on the opposite
+    bit.  A pending X is applied as one real pass just before a gate other
+    than a CNOT targets its qubit (X commutes with a CNOT on its target), and
+    the X gates still pending after the last gate are applied at the end, so
+    an X pair around controls costs no pass.
+    """
     k = c.n_qubits
+    flipped: set[int] = set()
+
+    def unflip(*targets):
+        for q in flipped.intersection(targets):
+            linalg.apply_gate(state, k, _X1, q)
+            flipped.remove(q)
+
+    def control(qubit, bit=1):
+        return qubit, bit ^ (qubit in flipped)
+
     for gate in c.gates:
-        if isinstance(gate, HGate):
+        if isinstance(gate, XGate):
+            flipped ^= {gate.qubit}
+        elif isinstance(gate, HGate):
+            unflip(gate.qubit)
             linalg.apply_hadamard(state, k, (gate.qubit,))
-        elif isinstance(gate, XGate):
-            linalg.apply_gate(state, k, _X1, gate.qubit)
-        elif isinstance(gate, CnotGate):
-            linalg.apply_gate(state, k, _X1, gate.target, ((gate.control, 1),))
+        elif isinstance(gate, CnotGate):  # commutes with an X on its target
+            linalg.apply_gate(state, k, _X1, gate.target, (control(gate.control),))
         elif isinstance(gate, ControlledUGate):
+            unflip(gate.target)
             linalg.apply_gate(state, k, u_target_block(gate.theta, gate.phi, gate.lam),
-                              gate.target, ((gate.control, 1),))
+                              gate.target, (control(gate.control),))
         else:
-            controls = tuple((ctl.qubit, int(ctl.polarity is Polarity.BLACK))
+            unflip(*gate.targets)
+            controls = tuple(control(ctl.qubit, int(ctl.polarity is Polarity.BLACK))
                              for ctl in gate.controls)
             linalg.apply_hadamard(state, k, gate.targets, controls)
+    unflip(*flipped)
     return state
 
 

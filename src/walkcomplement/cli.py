@@ -9,6 +9,7 @@ environment variable to a logging level name for diagnostics.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -28,7 +29,9 @@ class UsageError(Exception):
     """Bad flag values; reported with exit code 2."""
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="walkcomplement",
         description="Coined quantum walks on complete graphs and the search complement.",
@@ -279,9 +282,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     level = os.environ.get("WALK_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -72,7 +72,10 @@ def apply_gate(state: np.ndarray, n_qubits: int, matrix, target: int,
     ``state`` is a C-contiguous complex128 array of 2^n_qubits rows; bit q of
     the row index is qubit q.  Only rows whose qubits carry the ``(qubit, bit)``
     pairs in ``controls`` change; no control-space matrix is formed.  A bit
-    flip is a swap.  Work runs in blocks, so the scratch is two blocks.
+    flip is a swap.  Work runs in blocks, so the scratch is two blocks.  When
+    the state spans more than one block, a block whose two halves are all zero
+    is left untouched, which is exact because M @ 0 = 0 for finite M (NaN
+    counts as non-zero); a state of one block pays no check.
     """
     if state.dtype != np.complex128 or not state.flags.c_contiguous \
             or state.shape[0] != 2**n_qubits:
@@ -104,6 +107,9 @@ def apply_gate(state: np.ndarray, n_qubits: int, matrix, target: int,
     s1 = None if flip else np.empty_like(s0)
     for block in itertools.product((0, 1), repeat=lead):
         a0, a1 = half0[block], half1[block]
+        # the columns of a0's first row settle most non-zero blocks without a scan
+        if lead and not (a0[(0,) * (a0.ndim - 1)].any() or a0.any() or a1.any()):
+            continue
         if flip:
             s0[...] = a0
             a0[...] = a1

@@ -5,7 +5,7 @@ import pytest
 
 from fixtures import K4_TARGET1_PROBABILITY_MATRIX
 from readers import parse_dot, parse_qasm
-from walkcomplement import linalg
+from walkcomplement import __version__, cli, linalg
 from walkcomplement.cli import main
 
 
@@ -284,3 +284,23 @@ def test_verify_rejects_unitary_that_is_not_a_permutation(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--n-max", "1", "--operator", str(path))
     assert code == 1
     assert "FAIL" in out and "Kraus" in out
+
+
+def test_parser_is_built_once_and_keeps_no_values_between_calls(capsys, tmp_path):
+    assert cli._build_parser() is cli._build_parser()
+    code, out, _ = run(capsys, "simulate", "--n", "2", "--target", "1", "--coin-init", "2",
+                       "--method", "dense", "--format", "csv")
+    assert code == 0
+    np.testing.assert_allclose(np.loadtxt(out.splitlines()), [5 / 16, 5 / 16, 5 / 16, 1 / 16],
+                               atol=1e-12)
+    # --format, --coin-init and --method fall back to their defaults
+    out_path = tmp_path / "x.json"
+    code, out, _ = run(capsys, "simulate", "--n", "2", "--target", "1", "--out", str(out_path))
+    assert code == 0 and out == ""
+    payload = json.loads(out_path.read_text())
+    assert (payload["coin_init"], payload["method"], payload["suppressed_node"]) == \
+        (0, "statevector", 1)
+    code, out, _ = run(capsys, "--version")
+    assert (code, out.strip()) == (0, __version__)
+    code, out, _ = run(capsys, "sample", "--n", "2", "--target", "1", "--shots", "5")
+    assert code == 0 and json.loads(out)["shots"] == 5
