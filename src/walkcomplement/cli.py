@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import logging
+import math
 import os
 import sys
 
@@ -109,6 +110,9 @@ def _validate(args) -> None:
         raise UsageError("--shots must be >= 1")
     if getattr(args, "seed", 0) < 0:
         raise UsageError("--seed must be >= 0")
+    eps = getattr(args, "prune_epsilon", 0.0)
+    if not (math.isfinite(eps) and eps >= 0):
+        raise UsageError("--prune-epsilon must be a finite number >= 0")
 
 
 _NATIVE_FORMAT = {"simulate": "json", "probmatrix": "csv", "collapse": "dot",

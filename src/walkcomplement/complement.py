@@ -110,9 +110,13 @@ def closed_form_distribution(spec: ComplementSpec) -> ComplementResult:
 def _generic_operator(n: int, target: int) -> EvolutionOperator:
     """The same operator assembled through the shift/coin machinery.
 
-    Unlike :func:`build_complement_operator` this route multiplies the full
-    shift, perturbed-coin and init-layer matrices together, so any defect in
-    the coin construction shows up in the product.
+    Unlike :func:`build_complement_operator`, which fills the XOR structure
+    of this one operator directly, this route goes through the general
+    :func:`walk.evolution_operator`: the perturbed coin as one 2^n x 2^n
+    matrix per node (Hadamard everywhere, identity at the target), the init
+    layer folded in as the per-node products C_p H_n times the rows of H_n,
+    and the CNOT-model shift assembled from its decomposition blocks, so a
+    defect in any of those shows up in the result.
     """
     shift = graphs.shift_operator(n, ShiftModel.CNOT)
     coin = walk.PerturbedCoin(original=walk.hadamard_coin(n),
@@ -138,15 +142,7 @@ def _run_circuit(n: int, target: int, starts) -> tuple[np.ndarray, np.ndarray]:
     states = np.zeros((4**n, len(starts)), dtype=np.complex128)
     states[starts, np.arange(len(starts))] = 1.0
     circuit.apply_circuit(circuit.synthesize_complement_circuit(n, target), states)
-    return states, _position_distributions(states, n)
-
-
-def _position_distributions(states: np.ndarray, n: int) -> np.ndarray:
-    """Per column, |amplitude|^2 summed over the coin register, with no
-    temporary of the states' size: (coin, pos, re/im parts of the columns)."""
-    parts = states.view(np.float64).reshape(2**n, 2**n, -1)
-    dist = np.einsum("cpk,cpk->pk", parts, parts)
-    return dist.reshape(2**n, -1, 2).sum(axis=2)
+    return states, probability.position_distributions(states, n)
 
 
 def run_complement_statevector(spec: ComplementSpec) -> ComplementResult:
@@ -187,9 +183,9 @@ def cross_validate(n_max: int, tol: float = CROSS_VALIDATION_ATOL,
 
     Initial (coin, position) pairs are swept exhaustively up to 256 pairs per
     target (n <= 4) and sampled deterministically beyond that; ``rs_limit``
-    overrides the cap.  The dense route goes through the full shift/coin
-    matrix products where exhaustive (n <= 4) and through the direct fill
-    construction beyond, where the operators get large.  The dense and circuit
+    overrides the cap.  The dense route goes through the shift/coin machinery
+    (:func:`_generic_operator`) where exhaustive (n <= 4) and through the
+    direct fill construction beyond, where the operators get large.  The dense and circuit
     states must also agree amplitude by amplitude.  Raises
     :class:`CrossValidationError` naming the first disagreeing case.
     """
@@ -211,8 +207,8 @@ def cross_validate(n_max: int, tol: float = CROSS_VALIDATION_ATOL,
         for target in range(n_nodes):
             op = _generic_operator(n, target) if all_pairs <= _EXHAUSTIVE_RS_LIMIT \
                 else build_complement_operator(n, target)
-            dense = np.ascontiguousarray(op.matrix[:, starts])
-            dense_dist = _position_distributions(dense, n)
+            dense = op.matrix[:, starts]
+            dense_dist = probability.position_distributions(dense, n)
             sv, sv_dist = _run_circuit(n, target, starts)
             closed = np.stack([closed_form_distribution(
                 ComplementSpec(n=n, target=target, coin_init=r)).distribution

@@ -118,35 +118,58 @@ def decompose(adj: np.ndarray, model: ShiftModel) -> ShiftDecomposition:
     return ShiftDecomposition(model=model, n=n, blocks=blocks)
 
 
+def _permutation_of_blocks(placed, dim: int, what: str) -> np.ndarray:
+    """``perm`` of the dim x dim matrix S that holds each ``(row, col, block)`` of
+    ``placed`` as ``block.T`` at offset ``(row, col)`` and 0 elsewhere.
+
+    Every block entry must lie within DEFAULT_ATOL of 0 or 1, and the 1s must
+    hit every row and every column of S exactly once: for 0/1 blocks, both
+    Kraus conditions and unitarity.  S itself is never formed.
+    """
+    rows, cols = [], []
+    for row, col, block in placed:
+        ones = np.abs(block - 1) < linalg.DEFAULT_ATOL
+        if not np.all(ones | (np.abs(block) < linalg.DEFAULT_ATOL)):
+            raise ValueError(f"{what} fails the Kraus conditions: an entry is neither 0 nor 1")
+        # a 1 at block[y, x] is a 1 at S[row + x, col + y]
+        y, x = np.nonzero(ones)
+        rows.append(row + x)
+        cols.append(col + y)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    once = np.ones(dim, dtype=np.intp)
+    if not (np.array_equal(np.bincount(rows, minlength=dim), once)
+            and np.array_equal(np.bincount(cols, minlength=dim), once)):
+        raise ValueError(f"{what} fails the Kraus conditions: not a 0/1 permutation matrix")
+    perm = np.empty(dim, dtype=np.intp)
+    perm[cols] = rows
+    return perm
+
+
 def _permutation_of(matrix: np.ndarray, what: str) -> np.ndarray:
     """``perm`` of a matrix of 0s and 1s (within DEFAULT_ATOL) with exactly one 1
     in every row and column: for 0/1 blocks, both Kraus conditions and unitarity."""
-    ones = np.abs(matrix - 1) < linalg.DEFAULT_ATOL
-    zeros = np.abs(matrix) < linalg.DEFAULT_ATOL
-    if not (np.all(ones | zeros) and np.all(ones.sum(axis=0) == 1)
-            and np.all(ones.sum(axis=1) == 1)):
-        raise ValueError(f"{what} fails the Kraus conditions: not a 0/1 permutation matrix")
-    return ones.argmax(axis=0)
+    return _permutation_of_blocks([(0, 0, matrix.T)], matrix.shape[0], what)
 
 
 def assemble_shift(dec: ShiftDecomposition) -> ShiftOperator:
-    """Assemble a shift operator by placing the transposed blocks into S.
+    """Assemble a shift operator from the transposed blocks of a decomposition.
 
     SWAP-model block (i, j) of S is ``B_ij^T``; CNOT-model blocks go on the
-    block diagonal.  The result must be a 0/1 permutation matrix, which for
-    0/1 blocks is both Kraus conditions and unitarity, otherwise the
-    decomposition is rejected.
+    block diagonal.  S must be a 0/1 permutation matrix, which for 0/1 blocks
+    is both Kraus conditions and unitarity, otherwise the decomposition is
+    rejected.  The check runs on the blocks; no dense S is filled.
     """
     n_nodes = 2**dec.n
-    dim = n_nodes * n_nodes
-    s = np.zeros((dim, dim), dtype=np.complex128)
     if dec.model is ShiftModel.SWAP:
-        for (i, j), block in dec.blocks.items():
-            s[i * n_nodes:(i + 1) * n_nodes, j * n_nodes:(j + 1) * n_nodes] = block.T
+        placed = [(i * n_nodes, j * n_nodes, b) for (i, j), b in dec.blocks.items()]
     else:
-        for i, block in dec.blocks.items():
-            s[i * n_nodes:(i + 1) * n_nodes, i * n_nodes:(i + 1) * n_nodes] = block.T
-    return ShiftOperator(perm=_permutation_of(s, "assembled matrix"), model=dec.model, n=dec.n)
+        placed = [(i * n_nodes, i * n_nodes, b) for i, b in dec.blocks.items()]
+    for _, _, block in placed:
+        if np.shape(block) != (n_nodes, n_nodes):
+            raise ValueError(f"block of shape {np.shape(block)} in a decomposition "
+                             f"for {n_nodes} nodes")
+    perm = _permutation_of_blocks(placed, n_nodes * n_nodes, "assembled matrix")
+    return ShiftOperator(perm=perm, model=dec.model, n=dec.n)
 
 
 def shift_operator(n: int, model: ShiftModel) -> ShiftOperator:

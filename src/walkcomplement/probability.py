@@ -27,14 +27,21 @@ PRUNE_EPSILON = 1e-12
 COIN_COLORS = ("red", "blue", "green", "black")
 
 
+def position_distributions(states: np.ndarray, n: int) -> np.ndarray:
+    """Per column of ``states`` (4^n rows), |amplitude|^2 summed over the coin
+    register: shape (2^n, columns).  Works on the float view (coin, position,
+    re/im parts of the columns), so no temporary of the states' size is made."""
+    parts = np.ascontiguousarray(states).view(np.float64).reshape(2**n, 2**n, -1)
+    dist = np.einsum("cpk,cpk->pk", parts, parts)
+    return dist.reshape(2**n, -1, 2).sum(axis=2)
+
+
 def node_probabilities(state: WalkerState) -> np.ndarray:
     """Distribution over nodes from measuring the position register.
 
     P[j] sums |amplitude|^2 over all coin values at position j.
     """
-    n_nodes = 2**state.n
-    probs = np.abs(state.amplitudes.reshape(n_nodes, n_nodes))**2
-    return probs.sum(axis=0)
+    return position_distributions(state.amplitudes[:, None], state.n)[:, 0]
 
 
 def l1_distance(p, q) -> float:
@@ -64,9 +71,7 @@ def probability_matrix(u: EvolutionOperator, steps: int = 1) -> np.ndarray:
     Shape (2^n, 2^n * m): the block rows of conj(U^k) * U^k summed together.
     Every column is a probability distribution.
     """
-    n_nodes = 2**u.n
-    v = squared_amplitudes(u, steps)
-    return v.reshape(n_nodes, n_nodes, n_nodes * n_nodes).sum(axis=0)
+    return position_distributions(_operator_power(u, steps), u.n)
 
 
 class Arc(NamedTuple):

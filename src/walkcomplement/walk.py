@@ -87,8 +87,9 @@ class PerturbedCoin:
 CoinSpec = Union[UniformCoin, PositionDependentCoin, PerturbedCoin]
 
 
-def coin_operator(spec: CoinSpec, n: int) -> np.ndarray:
-    """Full coin operator on the composite space for a 2^n-node walk."""
+def _coin_stack(spec: CoinSpec, n: int) -> np.ndarray:
+    """The coin as one 2^n x 2^n matrix per node: ``coins[p]`` is C_p in
+    C = sum_p C_p (x) |p><p|; for a uniform coin, a read-only broadcast view."""
     n_nodes = 2**n
 
     def check_dim(c: np.ndarray) -> np.ndarray:
@@ -97,26 +98,33 @@ def coin_operator(spec: CoinSpec, n: int) -> np.ndarray:
         return c
 
     if isinstance(spec, UniformCoin):
-        return np.kron(check_dim(spec.matrix), np.eye(n_nodes))
+        return np.broadcast_to(check_dim(spec.matrix), (n_nodes, n_nodes, n_nodes))
     if isinstance(spec, PositionDependentCoin):
         missing = [k for k in range(n_nodes) if k not in spec.coins]
         if missing:
             raise ValueError(f"no coin given for positions {missing}")
-        op = np.zeros((n_nodes**2, n_nodes**2), dtype=np.complex128)
-        for k in range(n_nodes):
-            proj = np.zeros((n_nodes, n_nodes))
-            proj[k, k] = 1.0
-            op += np.kron(check_dim(spec.coins[k]), proj)
-        return op
+        extra = [k for k in spec.coins if k not in range(n_nodes)]
+        if extra:
+            raise ValueError(f"coins given for positions {extra} outside 0..{n_nodes - 1}")
+        return np.stack([check_dim(spec.coins[k]) for k in range(n_nodes)])
     if isinstance(spec, PerturbedCoin):
         if not 0 <= spec.target < n_nodes:
             raise ValueError(f"target {spec.target} out of range for {n_nodes} nodes")
-        c0 = check_dim(spec.original)
-        c1 = check_dim(spec.perturbation)
-        proj = np.zeros((n_nodes, n_nodes))
-        proj[spec.target, spec.target] = 1.0
-        return np.kron(c0, np.eye(n_nodes)) + np.kron(c1 - c0, proj)
+        coins = np.repeat(check_dim(spec.original)[None], n_nodes, axis=0)
+        coins[spec.target] = check_dim(spec.perturbation)
+        return coins
     raise TypeError(f"unknown coin spec {type(spec).__name__}")
+
+
+def coin_operator(spec: CoinSpec, n: int) -> np.ndarray:
+    """Full coin operator sum_p C_p (x) |p><p| on the composite space of a 2^n-node walk."""
+    coins = _coin_stack(spec, n)
+    n_nodes = 2**n
+    op = np.zeros((n_nodes,) * 4, dtype=np.complex128)
+    # entry (a, p, c, r) is C_p[a, c] when r = p
+    p = np.arange(n_nodes)
+    op[:, p, :, p] = coins
+    return op.reshape(n_nodes**2, n_nodes**2)
 
 
 @dataclass(frozen=True)
@@ -140,21 +148,31 @@ def evolution_operator(shift: ShiftOperator, coin: CoinSpec,
 
     The init layer realizes starting every qubit of both registers in an equal
     superposition, folded into the operator so single-step analysis can treat
-    it as one matrix.
+    it as one matrix.  With C = sum_p C_p (x) |p><p| it factors per node:
+    (C H^(x)2n)[(a, p), (c, r)] = (C_p H_n)[a, c] * H_n[p, r], so only the
+    2^n small products C_p H_n are formed.  Without it the factors are C_p
+    and the identity.  S|k> = |perm[k]> moves row k of C H^(x)2n to row
+    perm[k] of U, so each row of U is written once, as the outer product of
+    its two factor rows.
     """
     n = shift.n
-    cop = coin_operator(coin, n)
+    coins = _coin_stack(coin, n)
+    n_nodes = 2**n
     dim = shift.perm.size
-    if cop.shape != (dim, dim):
-        raise ValueError(f"coin operator {cop.shape} does not match shift {(dim, dim)}")
+    if dim != n_nodes * n_nodes:
+        raise ValueError(f"coin for {n_nodes} nodes does not match shift of dimension {dim}")
     if with_init_layer:
-        # C H^(x)2n = (H^(x)2n C^T)^T, since H^(x)2n is symmetric
-        cop_t = np.ascontiguousarray(cop.T)
-        linalg.apply_hadamard(cop_t, 2 * n)
-        cop = cop_t.T
-    # S|k> = |perm[k]>, so row k of C becomes row perm[k] of S C
+        h = hadamard_coin(n)
+        coins, position = coins @ h, h
+    else:
+        position = np.eye(n_nodes, dtype=np.complex128)
+    # row j of U is row (a, p) = inv_perm[j] of C H^(x)2n
+    inv_perm = np.empty_like(shift.perm)
+    inv_perm[shift.perm] = np.arange(dim)
+    a, p = np.divmod(inv_perm, n_nodes)
     u = np.empty((dim, dim), dtype=np.complex128)
-    u[shift.perm] = cop
+    np.multiply(coins[p, a][:, :, None], position[p][:, None, :],
+                out=u.reshape(dim, n_nodes, n_nodes))
     return EvolutionOperator(matrix=u, n=n, shift_model=shift.model,
                              coin=coin, init_layer=with_init_layer)
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,3 +308,34 @@ def test_parser_is_built_once_and_keeps_no_values_between_calls(capsys, tmp_path
     assert (code, out.strip()) == (0, __version__)
     code, out, _ = run(capsys, "sample", "--n", "2", "--target", "1", "--shots", "5")
     assert code == 0 and json.loads(out)["shots"] == 5
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-12"])
+def test_collapse_rejects_prune_epsilon_that_is_not_finite_and_nonnegative(capsys, value):
+    code, out, err = run(capsys, "collapse", "--n", "1", "--target", "0",
+                         f"--prune-epsilon={value}")
+    assert code == 2
+    assert out == ""
+    assert "--prune-epsilon" in err
+
+
+def test_collapse_accepts_zero_prune_epsilon(capsys):
+    code, out, _ = run(capsys, "collapse", "--n", "1", "--target", "0",
+                       "--prune-epsilon", "0")
+    assert code == 0
+    assert len(parse_dot(out).arcs) == 8
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    version = subprocess.run([sys.executable, "-m", "walkcomplement", "--version"],
+                             env=env, capture_output=True, text=True, timeout=60)
+    assert version.returncode == 0
+    assert version.stdout.strip() == __version__
+    usage = subprocess.run([sys.executable, "-m", "walkcomplement", "simulate", "--n", "0",
+                            "--target", "0"], env=env, capture_output=True, text=True,
+                           timeout=60)
+    assert usage.returncode == 2

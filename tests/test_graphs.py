@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,16 @@ def test_load_shift_operator_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.matrix, op.matrix)
 
 
+def test_load_shift_operator_keeps_a_random_permutation(tmp_path):
+    # not an involution, so reading S|k> = |perm[k]> backwards would show
+    m = _random_permutation_matrix(np.random.default_rng(11), 64)
+    path = tmp_path / "shift.csv"
+    linalg.save_matrix_csv(m, path)
+    loaded = graphs.load_shift_operator(path)
+    assert loaded.n == 3 and loaded.model is None
+    np.testing.assert_array_equal(loaded.matrix, m)
+
+
 def test_load_shift_operator_rejects_corrupted(tmp_path):
     path = tmp_path / "bad.csv"
     linalg.save_matrix_csv(np.ones((16, 16)) / 4.0, path)
@@ -246,3 +258,46 @@ def test_shift_perm_matches_matrix(model, n):
     np.testing.assert_array_equal(op.perm, expected)
     m = op.matrix
     assert np.all(m[op.perm, k] == 1) and m.sum() == n_nodes**2
+
+
+def test_assemble_rejects_block_entry_between_zero_and_one():
+    # the 1s still form a permutation; only the 0.5 beside them is wrong
+    half = np.eye(2)
+    half[0, 1] = 0.5
+    dec = graphs.ShiftDecomposition(model=ShiftModel.CNOT, n=1,
+                                    blocks={0: half, 1: np.array([[0, 1], [1, 0]])})
+    with pytest.raises(ValueError, match="Kraus"):
+        graphs.assemble_shift(dec)
+
+
+def test_assemble_rejects_swap_blocks_hitting_one_row_twice():
+    dec = graphs.decompose(graphs.complete_adjacency(1), ShiftModel.SWAP)
+    blocks = dict(dec.blocks)
+    # block (i, j) holds its 1 at (y, x), which lands at S[2i + x, 2j + y];
+    # with both 1s at (0, 0), blocks (0, 0) and (0, 1) both hit row 0 of S
+    moved = np.zeros((2, 2), dtype=np.int64)
+    moved[0, 0] = 1
+    blocks[(0, 1)] = moved
+    broken = graphs.ShiftDecomposition(model=ShiftModel.SWAP, n=1, blocks=blocks)
+    assert np.array_equal(broken.block_sum(), np.array([[2, 0], [1, 1]]))
+    with pytest.raises(ValueError, match="Kraus"):
+        graphs.assemble_shift(broken)
+
+
+def test_assemble_rejects_block_of_wrong_shape():
+    dec = graphs.ShiftDecomposition(model=ShiftModel.CNOT, n=1,
+                                    blocks={0: np.eye(2), 1: np.eye(4)})
+    with pytest.raises(ValueError, match="shape"):
+        graphs.assemble_shift(dec)
+
+
+def test_cnot_shift_assembly_fills_no_dense_matrix():
+    n = 5
+    graphs.shift_operator(n, ShiftModel.CNOT)  # warm lazy set-up
+    tracemalloc.start()
+    try:
+        graphs.shift_operator(n, ShiftModel.CNOT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 4**n * 4**n / 4

@@ -178,3 +178,25 @@ def test_save_probability_matrix_with_sidecar(tmp_path):
     sidecar = json.loads((tmp_path / "mp.csv.json").read_text())
     assert sidecar["n_nodes"] == 4
     assert sidecar["column_blocks"][1]["columns"] == [4, 7]
+
+
+def test_position_distributions_match_squared_amplitudes():
+    rng = np.random.default_rng(7)
+    n = 3
+    states = rng.standard_normal((64, 5)) + 1j * rng.standard_normal((64, 5))
+    expected = (np.abs(states)**2).reshape(8, 8, 5).sum(axis=0)
+    np.testing.assert_allclose(probability.position_distributions(states, n), expected,
+                               rtol=1e-14, atol=0)
+    # a non-contiguous column selection is measured the same way
+    np.testing.assert_allclose(probability.position_distributions(states[:, ::2], n),
+                               expected[:, ::2], rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+def test_probability_matrix_sums_block_rows_of_squared_amplitudes(steps):
+    shift = graphs.shift_operator(3, ShiftModel.SWAP)
+    u = walk.evolution_operator(shift, walk.UniformCoin(walk.grover_coin(3)),
+                                with_init_layer=True)
+    expected = probability.squared_amplitudes(u, steps).reshape(8, 8, 64).sum(axis=0)
+    np.testing.assert_allclose(probability.probability_matrix(u, steps), expected,
+                               rtol=1e-14, atol=1e-16)

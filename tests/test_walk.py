@@ -1,5 +1,11 @@
+import os
+import tempfile
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import K4_TARGET1_OPERATOR
 from walkcomplement import graphs, linalg, walk
@@ -216,3 +222,90 @@ def test_evolution_operator_applies_shift_permutation_direction():
     coin = UniformCoin(walk.hadamard_coin(1))
     op = walk.evolution_operator(shift, coin)
     np.testing.assert_array_equal(op.matrix, shift.matrix @ walk.coin_operator(coin, 1))
+
+
+def _random_unitary(dim, rng):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim))
+                        + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _random_coin_spec(kind, n, rng):
+    dim = 2**n
+    if kind == "uniform":
+        return UniformCoin(_random_unitary(dim, rng))
+    if kind == "position":
+        return PositionDependentCoin({k: _random_unitary(dim, rng) for k in range(dim)})
+    return PerturbedCoin(_random_unitary(dim, rng), _random_unitary(dim, rng),
+                         int(rng.integers(dim)))
+
+
+def _shift(kind, n, rng):
+    if kind != "loaded":
+        return graphs.shift_operator(n, ShiftModel(kind))
+    m = np.zeros((4**n, 4**n))
+    m[rng.permutation(4**n), np.arange(4**n)] = 1.0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "shift.csv")
+        linalg.save_matrix_csv(m, path)
+        shift = graphs.load_shift_operator(path)
+    assert shift.model is None
+    np.testing.assert_array_equal(shift.matrix, m)
+    return shift
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.sampled_from(["uniform", "position", "perturbed"]),
+       st.sampled_from(["swap", "cnot", "loaded"]), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_evolution_operator_matches_dense_product(n, coin_kind, shift_kind, with_init, seed):
+    rng = np.random.default_rng(seed)
+    coin = _random_coin_spec(coin_kind, n, rng)
+    shift = _shift(shift_kind, n, rng)
+    u = walk.evolution_operator(shift, coin, with_init_layer=with_init).matrix
+    expected = shift.matrix @ walk.coin_operator(coin, n)
+    if with_init:
+        h = popcount_hadamard(n)
+        np.testing.assert_allclose(u, expected @ np.kron(h, h), rtol=0, atol=1e-14)
+    else:
+        np.testing.assert_array_equal(u, expected)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "position", "perturbed"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coin_operator_matches_sum_of_krons(kind, n):
+    rng = np.random.default_rng(31 * n + len(kind))
+    spec = _random_coin_spec(kind, n, rng)
+    dim = 2**n
+    if kind == "uniform":
+        per_node = [spec.matrix] * dim
+    elif kind == "position":
+        per_node = [spec.coins[k] for k in range(dim)]
+    else:
+        per_node = [spec.perturbation if k == spec.target else spec.original
+                    for k in range(dim)]
+    expected = sum(np.kron(c, np.diag(np.eye(dim)[k])) for k, c in enumerate(per_node))
+    np.testing.assert_array_equal(walk.coin_operator(spec, n), expected)
+
+
+def test_evolution_operator_memory_is_about_its_output():
+    n = 5
+    shift = graphs.shift_operator(n, ShiftModel.CNOT)
+    coin = PerturbedCoin(walk.hadamard_coin(n), np.eye(2**n), 9)
+    walk.evolution_operator(shift, coin, with_init_layer=True)  # warm lazy set-up
+    tracemalloc.start()
+    try:
+        op = walk.evolution_operator(shift, coin, with_init_layer=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * op.matrix.nbytes
+
+
+@pytest.mark.parametrize("build", [walk.coin_operator,
+                                   lambda spec, n: walk.evolution_operator(
+                                       graphs.shift_operator(n, ShiftModel.CNOT), spec)])
+def test_position_dependent_rejects_positions_outside_the_graph(build):
+    coins = {0: np.eye(2), 1: walk.hadamard_coin(1), 7: np.eye(2)}
+    with pytest.raises(ValueError, match=r"positions \[7\] outside 0\.\.1"):
+        build(PositionDependentCoin(coins), 1)
