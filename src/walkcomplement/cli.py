@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, complement, graphs, probability, sampling, walk
+from . import __version__, complement, graphs, linalg, probability, sampling, walk
 from .circuit import export_qasm, synthesize_complement_circuit
 from .complement import ComplementSpec, CrossValidationError, Method
 from .graphs import ShiftModel
@@ -189,7 +189,7 @@ def cmd_probmatrix(args) -> int:
             probability.save_probability_matrix(mp, args.out)
             log.info("wrote %s and %s.json", args.out, args.out)
         else:
-            sys.stdout.write("".join(",".join(f"{p:.17g}" for p in row) + "\n" for row in mp))
+            sys.stdout.write(linalg.csv_text(mp))
     else:
         n_nodes = 2**args.n
         payload = {
@@ -197,11 +197,12 @@ def cmd_probmatrix(args) -> int:
             "target": args.target,
             "steps": args.steps,
             "model": args.model,
-            "matrix": [[float(p) for p in row] for row in mp],
+            "matrix": None,
             "column_blocks": [{"coin": i, "columns": [i * n_nodes, (i + 1) * n_nodes - 1]}
                               for i in range(n_nodes)],
         }
-        _write(args, json.dumps(payload, indent=2) + "\n")
+        matrix = linalg.json_list(linalg.format_values(mp, json.dumps), depth=1)
+        _write(args, linalg.json_with(payload, matrix=matrix))
     return 0
 
 
@@ -212,13 +213,8 @@ def cmd_collapse(args) -> int:
                          f"n = {complement.MAX_DENSE_QUBITS}")
     g = probability.collapse_multigraph(_walk_operator(args), args.steps,
                                         prune_epsilon=args.prune_epsilon)
-    if fmt == "dot":
-        _write(args, probability.multigraph_to_dot(g))
-    else:
-        payload = {"n_nodes": g.n_nodes,
-                   "arcs": [{"coin": a.coin, "src": a.src, "dst": a.dst,
-                             "weight": a.weight} for a in g.arcs]}
-        _write(args, json.dumps(payload, indent=2) + "\n")
+    _write(args, probability.multigraph_to_dot(g) if fmt == "dot"
+           else probability.multigraph_to_json(g))
     return 0
 
 
@@ -252,7 +248,7 @@ def cmd_verify(args) -> int:
         print(f"cross-validate: FAIL: {exc}")
         failures.append(str(exc))
     for model in ShiftModel:
-        for n in range(1, min(args.n_max, 5) + 1):
+        for n in range(1, args.n_max + 1):
             try:
                 graphs.shift_operator(n, model)
                 status = "OK"

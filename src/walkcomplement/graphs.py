@@ -14,8 +14,9 @@ Both assembled operators are permutations of the coin (x) position basis, so a
 :class:`ShiftOperator` stores the index array ``perm`` with
 ``S|k> = |perm[k]>`` rather than a 4^n x 4^n matrix.  For blocks of 0s and 1s
 the Kraus conditions, and unitarity, say exactly that every row and every
-column of S holds a single 1; assembly and the file loader check that one fact
-in O(dim^2) and reject anything else.
+column of S holds a single 1; assembly checks that one fact on the coordinates
+of the blocks' 1s, the file loader on its matrix, and both reject anything
+else.
 
 Only complete graphs with self-loops are constructible through this API.
 Decomposing an arbitrary adjacency matrix admits many valid solutions and is
@@ -25,6 +26,8 @@ deliberately not attempted; unsupported inputs are rejected.
 from __future__ import annotations
 
 import enum
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,21 +50,65 @@ def complete_adjacency(n: int) -> np.ndarray:
     return np.ones((2**n, 2**n), dtype=np.int64)
 
 
+class IndexBlocks(Mapping):
+    """Shift blocks stored as the coordinates of their 1s, read as a mapping.
+
+    ``ys`` and ``xs`` (broadcast together) have one leading axis per key part
+    and a last axis over the block's 1s: block ``key`` holds its 1s at
+    ``(ys[key], xs[key])``.  Keys are ``0..n_nodes-1`` with one leading axis
+    (CNOT) and pairs ``(i, j)`` with two (SWAP).  Looking a key up builds that
+    one dense int64 block; nothing else builds one.
+    """
+
+    def __init__(self, n_nodes: int, ys: np.ndarray, xs: np.ndarray):
+        self.n_nodes = n_nodes
+        self.ys, self.xs = np.broadcast_arrays(ys, xs)
+
+    @property
+    def key_ndim(self) -> int:
+        return self.ys.ndim - 1
+
+    def __getitem__(self, key) -> np.ndarray:
+        index = (key,) if self.key_ndim == 1 else key
+        if not (isinstance(index, tuple) and len(index) == self.key_ndim and all(
+                isinstance(k, numbers.Integral) and 0 <= k < self.n_nodes for k in index)):
+            raise KeyError(key)
+        block = np.zeros((self.n_nodes, self.n_nodes), dtype=np.int64)
+        block[self.ys[index], self.xs[index]] = 1
+        return block
+
+    def __iter__(self):
+        keys = np.ndindex(self.ys.shape[:-1])
+        return keys if self.key_ndim > 1 else (k for (k,) in keys)
+
+    def __len__(self) -> int:
+        return self.n_nodes**self.key_ndim
+
+    def total(self) -> np.ndarray:
+        """Sum of all blocks: one bincount of the 1s' coordinates."""
+        ones = (self.ys * self.n_nodes + self.xs).ravel()
+        return np.bincount(ones, minlength=self.n_nodes**2).reshape(self.n_nodes, self.n_nodes)
+
+
 @dataclass(frozen=True)
 class ShiftDecomposition:
     """A decomposition of an adjacency matrix into shift-operator blocks.
 
     For the SWAP model, ``blocks`` maps ``(i, j)`` to the 0/1 block with a
     single 1 at entry ``(i, j)``.  For the CNOT model it maps ``i`` to the
-    permutation block sending ``j`` to ``j XOR i``.
+    permutation block sending ``j`` to ``j XOR i``.  :func:`decompose` gives
+    an :class:`IndexBlocks`; a hand-built ``dict`` of dense blocks is checked
+    entry by entry on assembly.
     """
 
     model: ShiftModel
     n: int
-    blocks: dict
+    blocks: Mapping
 
     def block_sum(self) -> np.ndarray:
         """Sum of all blocks; equals the decomposed adjacency matrix."""
+        if isinstance(self.blocks, IndexBlocks):
+            return self.blocks.total()
         return sum(self.blocks.values())
 
 
@@ -87,15 +134,12 @@ class ShiftOperator:
         return m
 
 
-def _xor_permutation(n_nodes: int, i: int) -> np.ndarray:
-    block = np.zeros((n_nodes, n_nodes), dtype=np.int64)
-    for k in range(n_nodes):
-        block[k ^ i, k] = 1
-    return block
-
-
 def decompose(adj: np.ndarray, model: ShiftModel) -> ShiftDecomposition:
-    """Decompose a complete-graph adjacency matrix into shift blocks."""
+    """Decompose a complete-graph adjacency matrix into shift blocks.
+
+    CNOT block i has its 1s at ``(arange(N) ^ i, arange(N))``; SWAP block
+    (i, j) has its one 1 at ``(i, j)``.  Both are stored as those coordinates.
+    """
     adj = np.asarray(adj)
     n_nodes = adj.shape[0]
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
@@ -106,40 +150,33 @@ def decompose(adj: np.ndarray, model: ShiftModel) -> ShiftDecomposition:
             "only the all-ones adjacency of a complete graph with self-loops "
             "on a power-of-two number of nodes is supported"
         )
+    nodes = np.arange(n_nodes)
     if model is ShiftModel.SWAP:
-        blocks = {}
-        for i in range(n_nodes):
-            for j in range(n_nodes):
-                b = np.zeros((n_nodes, n_nodes), dtype=np.int64)
-                b[i, j] = 1
-                blocks[(i, j)] = b
+        blocks = IndexBlocks(n_nodes, nodes[:, None, None], nodes[None, :, None])
     else:
-        blocks = {i: _xor_permutation(n_nodes, i) for i in range(n_nodes)}
+        blocks = IndexBlocks(n_nodes, nodes[:, None] ^ nodes, nodes)
     return ShiftDecomposition(model=model, n=n, blocks=blocks)
 
 
-def _permutation_of_blocks(placed, dim: int, what: str) -> np.ndarray:
-    """``perm`` of the dim x dim matrix S that holds each ``(row, col, block)`` of
-    ``placed`` as ``block.T`` at offset ``(row, col)`` and 0 elsewhere.
+def _ones(matrix: np.ndarray, what: str) -> np.ndarray:
+    """Mask of the 1s of a matrix whose every entry is within DEFAULT_ATOL of 0 or 1."""
+    ones = np.abs(matrix - 1) < linalg.DEFAULT_ATOL
+    if not np.all(ones | (np.abs(matrix) < linalg.DEFAULT_ATOL)):
+        raise ValueError(f"{what} fails the Kraus conditions: an entry is neither 0 nor 1")
+    return ones
 
-    Every block entry must lie within DEFAULT_ATOL of 0 or 1, and the 1s must
-    hit every row and every column of S exactly once: for 0/1 blocks, both
-    Kraus conditions and unitarity.  S itself is never formed.
+
+def _permutation_of_ones(rows: np.ndarray, cols: np.ndarray, dim: int,
+                         what: str) -> np.ndarray:
+    """``perm`` of the dim x dim 0/1 matrix S with its 1s at ``(rows, cols)``.
+
+    The 1s must hit every row and every column of S exactly once: for 0/1
+    blocks, both Kraus conditions and unitarity.  S itself is never formed.
     """
-    rows, cols = [], []
-    for row, col, block in placed:
-        ones = np.abs(block - 1) < linalg.DEFAULT_ATOL
-        if not np.all(ones | (np.abs(block) < linalg.DEFAULT_ATOL)):
-            raise ValueError(f"{what} fails the Kraus conditions: an entry is neither 0 nor 1")
-        # a 1 at block[y, x] is a 1 at S[row + x, col + y]
-        y, x = np.nonzero(ones)
-        rows.append(row + x)
-        cols.append(col + y)
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    once = np.ones(dim, dtype=np.intp)
-    if not (np.array_equal(np.bincount(rows, minlength=dim), once)
-            and np.array_equal(np.bincount(cols, minlength=dim), once)):
-        raise ValueError(f"{what} fails the Kraus conditions: not a 0/1 permutation matrix")
+    for hits in (rows, cols):
+        counts = np.bincount(hits, minlength=dim)
+        if counts.size != dim or not np.all(counts == 1):
+            raise ValueError(f"{what} fails the Kraus conditions: not a 0/1 permutation matrix")
     perm = np.empty(dim, dtype=np.intp)
     perm[cols] = rows
     return perm
@@ -148,7 +185,23 @@ def _permutation_of_blocks(placed, dim: int, what: str) -> np.ndarray:
 def _permutation_of(matrix: np.ndarray, what: str) -> np.ndarray:
     """``perm`` of a matrix of 0s and 1s (within DEFAULT_ATOL) with exactly one 1
     in every row and column: for 0/1 blocks, both Kraus conditions and unitarity."""
-    return _permutation_of_blocks([(0, 0, matrix.T)], matrix.shape[0], what)
+    rows, cols = np.nonzero(_ones(matrix, what))
+    return _permutation_of_ones(rows, cols, matrix.shape[0], what)
+
+
+def _ones_of_dense_blocks(dec: ShiftDecomposition, n_nodes: int):
+    """Rows and columns in S of the 1s of a hand-built dict of dense blocks."""
+    rows, cols = [], []
+    for key, block in dec.blocks.items():
+        if np.shape(block) != (n_nodes, n_nodes):
+            raise ValueError(f"block of shape {np.shape(block)} in a decomposition "
+                             f"for {n_nodes} nodes")
+        i, j = key if dec.model is ShiftModel.SWAP else (key, key)
+        # a 1 at block[y, x] is a 1 at S[i * n_nodes + x, j * n_nodes + y]
+        y, x = np.nonzero(_ones(np.asarray(block), "assembled matrix"))
+        rows.append(i * n_nodes + x)
+        cols.append(j * n_nodes + y)
+    return np.concatenate(rows), np.concatenate(cols)
 
 
 def assemble_shift(dec: ShiftDecomposition) -> ShiftOperator:
@@ -157,18 +210,28 @@ def assemble_shift(dec: ShiftDecomposition) -> ShiftOperator:
     SWAP-model block (i, j) of S is ``B_ij^T``; CNOT-model blocks go on the
     block diagonal.  S must be a 0/1 permutation matrix, which for 0/1 blocks
     is both Kraus conditions and unitarity, otherwise the decomposition is
-    rejected.  The check runs on the blocks; no dense S is filled.
+    rejected.  The check runs on the coordinates of the blocks' 1s; no dense
+    S is filled, and index blocks are never made dense.
     """
     n_nodes = 2**dec.n
-    if dec.model is ShiftModel.SWAP:
-        placed = [(i * n_nodes, j * n_nodes, b) for (i, j), b in dec.blocks.items()]
+    blocks = dec.blocks
+    if isinstance(blocks, IndexBlocks):
+        key_ndim = 2 if dec.model is ShiftModel.SWAP else 1
+        if (blocks.n_nodes, blocks.key_ndim) != (n_nodes, key_ndim):
+            raise ValueError(f"index blocks for {blocks.n_nodes} nodes and {blocks.key_ndim}-part "
+                             f"keys in a {dec.model.value} decomposition for {n_nodes} nodes")
+        # SWAP block (i, j) starts at S[i * n_nodes, j * n_nodes], CNOT block i at
+        # S[i * n_nodes, i * n_nodes]
+        offsets = np.arange(n_nodes) * n_nodes
+        if key_ndim == 2:
+            row_off, col_off = offsets[:, None, None], offsets[:, None]
+        else:
+            row_off = col_off = offsets[:, None]
+        # a 1 at block[y, x] is a 1 at S[row_off + x, col_off + y]
+        rows, cols = (row_off + blocks.xs).ravel(), (col_off + blocks.ys).ravel()
     else:
-        placed = [(i * n_nodes, i * n_nodes, b) for i, b in dec.blocks.items()]
-    for _, _, block in placed:
-        if np.shape(block) != (n_nodes, n_nodes):
-            raise ValueError(f"block of shape {np.shape(block)} in a decomposition "
-                             f"for {n_nodes} nodes")
-    perm = _permutation_of_blocks(placed, n_nodes * n_nodes, "assembled matrix")
+        rows, cols = _ones_of_dense_blocks(dec, n_nodes)
+    perm = _permutation_of_ones(rows, cols, n_nodes * n_nodes, "assembled matrix")
     return ShiftOperator(perm=perm, model=dec.model, n=dec.n)
 
 

@@ -5,11 +5,16 @@ Operators are dense and row-major; the largest operator handled densely is
 4096 x 4096 (two six-qubit registers), which fits comfortably in memory.
 The functions here add the shape checking and the tolerance conventions the
 rest of the package relies on.  :func:`apply_gate` applies every gate.
+
+The text writers (CSV here, DOT and JSON in the modules that own those
+outputs) format each distinct value once with :func:`format_values` and join
+the results, instead of formatting entry by entry.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 
@@ -21,6 +26,9 @@ _H1 = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
 
 # Amplitudes per half-block of a gate update: halves and scratch (2 MiB) stay in cache.
 _BLOCK = 1 << 15
+
+# Entries per slice of rows that save_csv formats and writes at once.
+_CSV_CHUNK = 1 << 16
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -140,17 +148,78 @@ def is_unitary(m, tol: float = DEFAULT_ATOL) -> bool:
     return float(np.abs(delta).max()) < tol
 
 
+def format_values(values, fmt) -> np.ndarray:
+    """``fmt(v)`` for every entry v of ``values`` (as a Python float or int), as an
+    object array of strings of the same shape, calling ``fmt`` once per distinct value.
+
+    Every operator here is an exact +-1/sqrt(2^k) combination, so its entries
+    take a handful of values.  Values are told apart by their bits, so -0.0
+    and 0.0, or two NaN payloads, are formatted separately.
+    """
+    values = np.ascontiguousarray(values)
+    bits = values.view(f"u{values.itemsize}")
+    ordered = np.sort(bits, axis=None)
+    first = np.ones(ordered.shape, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    texts = np.array([fmt(v) for v in distinct.view(values.dtype).tolist()], dtype=object)
+    return texts[np.searchsorted(distinct, bits)]
+
+
+def join_columns(*columns) -> str:
+    """Concatenate, row after row, the pieces of equally long 1-D columns; a
+    column is an object array of strings or one string repeated in every row."""
+    rows = max((len(c) for c in columns if not isinstance(c, str)), default=0)
+    cells = np.empty((rows, len(columns)), dtype=object)
+    for k, column in enumerate(columns):
+        cells[:, k] = column
+    return "".join(cells.ravel().tolist())
+
+
+def json_list(cells: np.ndarray, depth: int) -> str:
+    """JSON text of a nested list whose leaves are the pre-formatted strings in
+    ``cells``, laid out as ``json.dumps(..., indent=2)`` lays out a list nested
+    ``depth`` levels deep."""
+    if len(cells) == 0:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    items = cells.tolist() if cells.ndim == 1 else [json_list(c, depth + 1) for c in cells]
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
+def json_with(payload: dict, **texts: str) -> str:
+    """``json.dumps(payload, indent=2)`` and a newline, with the ``None`` value of
+    each key named in ``texts`` replaced by the given pre-rendered JSON text."""
+    text = json.dumps(payload, indent=2)
+    for key, value in texts.items():
+        text = text.replace(f'"{key}": null', f'"{key}": {value}', 1)
+    return text + "\n"
+
+
+def csv_text(table) -> str:
+    """CSV text of a 2-D float array, ``"%.17g"`` per entry: byte for byte what
+    ``np.savetxt(fmt="%.17g", delimiter=",")`` writes."""
+    cells = format_values(np.asarray(table, dtype=np.float64), "%.17g".__mod__)
+    return "".join(",".join(row) + "\n" for row in cells.tolist())
+
+
+def save_csv(table, path) -> None:
+    """Write :func:`csv_text` of ``table`` to ``path``, a slice of rows at a
+    time, so the formatted text held at once stays near ``_CSV_CHUNK`` entries."""
+    table = np.asarray(table, dtype=np.float64)
+    rows = max(1, _CSV_CHUNK // max(1, table.shape[1]))
+    with open(path, "w") as fh:
+        for start in range(0, table.shape[0], rows):
+            fh.write(csv_text(table[start:start + rows]))
+
+
 def save_matrix_csv(m, path) -> None:
     """Write a matrix as CSV, one matrix row per line.
 
     Each entry is stored as a ``re,im`` pair, so a row with c columns becomes
     2c comma-separated floats.
     """
-    m = as_complex_matrix(m)
-    flat = np.empty((m.shape[0], 2 * m.shape[1]))
-    flat[:, 0::2] = m.real
-    flat[:, 1::2] = m.imag
-    np.savetxt(path, flat, delimiter=",", fmt="%.17g")
+    save_csv(np.ascontiguousarray(as_complex_matrix(m)).view(np.float64), path)
 
 
 def load_matrix_csv(path) -> np.ndarray:
@@ -164,7 +233,7 @@ def load_matrix_csv(path) -> np.ndarray:
 def save_vector_csv(v, path) -> None:
     """Write a vector as CSV, one ``re,im`` line per entry."""
     v = as_complex_vector(v)
-    np.savetxt(path, np.column_stack([v.real, v.imag]), delimiter=",", fmt="%.17g")
+    save_csv(np.ascontiguousarray(v).view(np.float64).reshape(-1, 2), path)
 
 
 def load_vector_csv(path) -> np.ndarray:

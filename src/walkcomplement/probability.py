@@ -7,17 +7,20 @@ Column ``i * 2^n + j`` of M_P is the node distribution reached from the
 initial state ``|c_i> (x) |v_j>`` after k steps.
 
 The same data viewed as a graph is the collapsed multigraph: one weighted arc
-``(coin block, source node, destination node)`` per transition probability.
+``(coin block, source node, destination node)`` per transition probability,
+held as four parallel arrays.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .walk import EvolutionOperator, WalkerState
 
 PROB_ATOL = 1e-10
@@ -81,12 +84,44 @@ class Arc(NamedTuple):
     weight: float
 
 
+class ArcView(Sequence):
+    """Read-only sequence of :class:`Arc` over a multigraph's arc arrays; an Arc
+    is made only when it is read, and the length costs nothing."""
+
+    def __init__(self, g: CollapsedMultigraph):
+        self._columns = (g.coin, g.src, g.dst, g.weight)
+
+    def __len__(self) -> int:
+        return len(self._columns[3])
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        coin, src, dst, weight = (column[k] for column in self._columns)
+        return Arc(int(coin), int(src), int(dst), float(weight))
+
+    def __iter__(self):
+        return map(Arc, *(column.tolist() for column in self._columns))
+
+
 @dataclass(frozen=True)
 class CollapsedMultigraph:
-    """Weighted directed arcs of the collapsed walk multigraph."""
+    """Weighted directed arcs of the collapsed walk multigraph, as parallel arrays.
+
+    Arc k runs from node ``src[k]`` to node ``dst[k]`` in coin block
+    ``coin[k]`` and carries probability ``weight[k]``; arcs are in
+    (coin, src, dst) order.  :attr:`arcs` reads them as :class:`Arc` tuples.
+    """
 
     n_nodes: int
-    arcs: tuple[Arc, ...]
+    coin: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
+
+    @property
+    def arcs(self) -> ArcView:
+        return ArcView(self)
 
 
 def collapse_multigraph(u: EvolutionOperator, steps: int = 1,
@@ -98,15 +133,15 @@ def collapse_multigraph(u: EvolutionOperator, steps: int = 1,
     """
     n_nodes = 2**u.n
     mp = probability_matrix(u, steps)
-    arcs = []
-    for coin in range(n_nodes):
-        for src in range(n_nodes):
-            col = mp[:, coin * n_nodes + src]
-            for dst in range(n_nodes):
-                w = float(col[dst])
-                if w >= prune_epsilon:
-                    arcs.append(Arc(coin=coin, src=src, dst=dst, weight=w))
-    return CollapsedMultigraph(n_nodes=n_nodes, arcs=tuple(arcs))
+    weights = mp.reshape(n_nodes, n_nodes, n_nodes).transpose(1, 2, 0)  # (coin, src, dst)
+    coin, src, dst = np.nonzero(weights >= prune_epsilon)
+    return CollapsedMultigraph(n_nodes=n_nodes, coin=coin, src=src, dst=dst,
+                               weight=weights[coin, src, dst])
+
+
+def _labels(template: str, count: int) -> np.ndarray:
+    """``template.format(k)`` for k = 0..count-1, as an object array."""
+    return np.array([template.format(k) for k in range(count)], dtype=object)
 
 
 def multigraph_to_dot(g: CollapsedMultigraph, name: str = "collapsed_walk") -> str:
@@ -115,16 +150,28 @@ def multigraph_to_dot(g: CollapsedMultigraph, name: str = "collapsed_walk") -> s
     One color per coin block (red, blue, green, black, cycling); arc labels
     carry the weight to six significant digits.
     """
-    lines = [f"digraph {name} {{"]
-    for node in range(g.n_nodes):
-        lines.append(f"  {node};")
-    for arc in g.arcs:
-        color = COIN_COLORS[arc.coin % len(COIN_COLORS)]
-        lines.append(
-            f'  {arc.src} -> {arc.dst} [color="{color}", label="{arc.weight:.6g}", coin={arc.coin}];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    colors = np.array([f'{COIN_COLORS[c % len(COIN_COLORS)]}", label="'
+                       for c in range(g.n_nodes)], dtype=object)
+    arcs = linalg.join_columns(
+        _labels("  {} -> ", g.n_nodes)[g.src], _labels('{} [color="', g.n_nodes)[g.dst],
+        colors[g.coin], linalg.format_values(g.weight, "{:.6g}".format),
+        _labels('", coin={}];\n', g.n_nodes)[g.coin])
+    nodes = "".join(f"  {node};\n" for node in range(g.n_nodes))
+    return f"digraph {name} {{\n{nodes}{arcs}}}\n"
+
+
+def multigraph_to_json(g: CollapsedMultigraph) -> str:
+    """JSON text of a collapsed multigraph: ``n_nodes`` and one
+    ``{coin, src, dst, weight}`` object per arc, indented by two spaces."""
+    arcs = "[]"
+    if len(g.weight):
+        body = linalg.join_columns(
+            _labels('    {{\n      "coin": {},\n      "src": ', g.n_nodes)[g.coin],
+            _labels('{},\n      "dst": ', g.n_nodes)[g.src],
+            _labels('{},\n      "weight": ', g.n_nodes)[g.dst],
+            linalg.format_values(g.weight, json.dumps), "\n    },\n")
+        arcs = "[\n" + body[:-2] + "\n  ]"  # no comma after the last arc
+    return linalg.json_with({"n_nodes": g.n_nodes, "arcs": None}, arcs=arcs)
 
 
 def save_probability_matrix(mp: np.ndarray, path, sidecar_path=None) -> None:
@@ -133,7 +180,7 @@ def save_probability_matrix(mp: np.ndarray, path, sidecar_path=None) -> None:
     n_nodes = mp.shape[0]
     if mp.ndim != 2 or mp.shape[1] % n_nodes != 0:
         raise ValueError(f"not a probability matrix shape: {mp.shape}")
-    np.savetxt(path, mp, delimiter=",", fmt="%.17g")
+    linalg.save_csv(mp, path)
     if sidecar_path is None:
         sidecar_path = f"{path}.json"
     m = mp.shape[1] // n_nodes

@@ -339,3 +339,16 @@ def test_python_dash_m_runs_the_cli():
                             "--target", "0"], env=env, capture_output=True, text=True,
                            timeout=60)
     assert usage.returncode == 2
+
+
+def test_verify_checks_shift_models_up_to_n_max(capsys, monkeypatch):
+    from walkcomplement import complement
+
+    # the routes are checked elsewhere; a stub keeps this to the shift checks
+    monkeypatch.setattr(complement, "cross_validate", lambda n_max: complement.CrossValidationReport(
+        n_max=n_max, cases=0, max_deviation=0.0))
+    code, out, _ = run(capsys, "verify", "--n-max", "6")
+    assert code == 0
+    for model in ("swap", "cnot"):
+        assert [line for line in out.splitlines() if line.startswith(f"shift {model}")] == \
+            [f"shift {model} n={n}: Kraus+unitarity OK" for n in range(1, 7)]

@@ -301,3 +301,92 @@ def test_cnot_shift_assembly_fills_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 4**n * 4**n / 4
+
+
+def _reference_perm(n, model):
+    """``perm`` by the construction used while every block was a dense array:
+    each block's 1s set entry by entry, and a 1 at block[y, x] of the block
+    placed at (row, col) landing at S[row + x, col + y]."""
+    n_nodes = 2**n
+    perm = np.full(n_nodes**2, -1, dtype=np.intp)
+    row_hits = np.zeros(n_nodes**2, dtype=int)
+    if model is ShiftModel.SWAP:
+        placed = (((i * n_nodes, j * n_nodes), [(i, j)])
+                  for i in range(n_nodes) for j in range(n_nodes))
+    else:
+        placed = (((i * n_nodes, i * n_nodes), [(k ^ i, k) for k in range(n_nodes)])
+                  for i in range(n_nodes))
+    for (row, col), ones in placed:
+        for y, x in ones:
+            assert perm[col + y] == -1
+            perm[col + y] = row + x
+            row_hits[row + x] += 1
+    assert np.all(row_hits == 1)
+    return perm
+
+
+@pytest.mark.parametrize("model", list(ShiftModel))
+@pytest.mark.parametrize("n", range(1, 9))
+def test_index_block_perm_is_bit_identical_to_dense_block_construction(model, n):
+    perm = graphs.shift_operator(n, model).perm
+    assert perm.dtype == np.intp
+    np.testing.assert_array_equal(perm, _reference_perm(n, model))
+
+
+@pytest.mark.parametrize("model", list(ShiftModel))
+@pytest.mark.parametrize("n", range(1, 4))
+def test_dense_copy_of_index_blocks_assembles_to_the_same_perm(model, n):
+    dec = graphs.decompose(graphs.complete_adjacency(n), model)
+    dense = graphs.ShiftDecomposition(model=model, n=n, blocks=dict(dec.blocks))
+    assert all(isinstance(b, np.ndarray) and b.dtype == np.int64 for b in dense.blocks.values())
+    np.testing.assert_array_equal(graphs.assemble_shift(dense).perm,
+                                  graphs.assemble_shift(dec).perm)
+    np.testing.assert_array_equal(dense.block_sum(), dec.block_sum())
+
+
+def test_index_blocks_read_as_a_mapping():
+    cnot = graphs.decompose(graphs.complete_adjacency(2), ShiftModel.CNOT).blocks
+    swap = graphs.decompose(graphs.complete_adjacency(2), ShiftModel.SWAP).blocks
+    assert list(cnot) == [0, 1, 2, 3] and len(cnot) == 4
+    assert list(swap) == [(i, j) for i in range(4) for j in range(4)] and len(swap) == 16
+    assert all(type(k) is int for k in cnot)
+    assert 3 in cnot and (3, 2) in swap and np.int64(2) in cnot
+    for blocks, bad in ((cnot, 4), (cnot, -1), (cnot, (1,)), (cnot, 1.0), (swap, 0),
+                        (swap, (0, 4)), (swap, (0, 1, 2))):
+        assert bad not in blocks
+        with pytest.raises(KeyError):
+            blocks[bad]
+    with pytest.raises(TypeError):
+        cnot[0] = np.eye(4)
+
+
+@pytest.mark.parametrize("model,other_model,other_n", [
+    (ShiftModel.SWAP, ShiftModel.CNOT, 2), (ShiftModel.CNOT, ShiftModel.SWAP, 2),
+    (ShiftModel.CNOT, ShiftModel.CNOT, 3)])
+def test_assemble_rejects_index_blocks_of_another_decomposition(model, other_model, other_n):
+    blocks = graphs.decompose(graphs.complete_adjacency(other_n), other_model).blocks
+    with pytest.raises(ValueError, match="index blocks"):
+        graphs.assemble_shift(graphs.ShiftDecomposition(model=model, n=2, blocks=blocks))
+
+
+@pytest.mark.parametrize("model,n,limit_mb", [(ShiftModel.SWAP, 6, 10),
+                                              (ShiftModel.CNOT, 10, 200)])
+def test_shift_assembly_peak_stays_near_perm_size(model, n, limit_mb):
+    graphs.shift_operator(2, model)  # warm lazy set-up
+    tracemalloc.start()
+    try:
+        graphs.shift_operator(n, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 2**20
+
+
+def test_index_blocks_total_equals_sum_of_dense_blocks():
+    rng = np.random.default_rng(5)
+    n_nodes = 8
+    ys = np.array([rng.permutation(n_nodes) for _ in range(n_nodes)])
+    blocks = graphs.IndexBlocks(n_nodes, ys, np.arange(n_nodes))
+    total = blocks.total()
+    np.testing.assert_array_equal(total, sum(blocks.values()))
+    assert total.sum() == n_nodes**2 and total.max() > 1

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import (
     K4_TARGET1_DISTRIBUTION,
@@ -200,3 +202,48 @@ def test_probability_matrix_sums_block_rows_of_squared_amplitudes(steps):
     expected = probability.squared_amplitudes(u, steps).reshape(8, 8, 64).sum(axis=0)
     np.testing.assert_allclose(probability.probability_matrix(u, steps), expected,
                                rtol=1e-14, atol=1e-16)
+
+
+def _reference_arcs(mp, n_nodes, prune_epsilon):
+    """The arcs as the per-entry loop over (coin, src, dst) gave them."""
+    arcs = []
+    for coin in range(n_nodes):
+        for src in range(n_nodes):
+            col = mp[:, coin * n_nodes + src]
+            for dst in range(n_nodes):
+                w = float(col[dst])
+                if w >= prune_epsilon:
+                    arcs.append((coin, src, dst, w))
+    return arcs
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), steps=st.integers(1, 2), model=st.sampled_from(list(ShiftModel)),
+       target_seed=st.integers(0, 2**16), init=st.booleans(),
+       epsilon=st.one_of(st.sampled_from([0.0, probability.PRUNE_EPSILON, 1e-3, 0.05, 2.0]),
+                         st.integers(0, 10**6)))
+def test_collapse_arrays_equal_per_entry_reference(n, steps, model, target_seed, init, epsilon):
+    n_nodes = 2**n
+    coin = PerturbedCoin(walk.hadamard_coin(n), np.eye(n_nodes), target_seed % n_nodes)
+    u = walk.evolution_operator(graphs.shift_operator(n, model), coin, with_init_layer=init)
+    mp = probability.probability_matrix(u, steps)
+    if isinstance(epsilon, int):  # an exact entry of M_P, to probe the >= boundary
+        epsilon = float(mp.flat[epsilon % mp.size])
+    g = probability.collapse_multigraph(u, steps, prune_epsilon=epsilon)
+    want = _reference_arcs(mp, n_nodes, epsilon)
+    for k, field in enumerate(("coin", "src", "dst")):
+        np.testing.assert_array_equal(getattr(g, field), [a[k] for a in want])
+    assert g.weight.dtype == np.float64 and g.weight.tolist() == [a[3] for a in want]
+    assert list(g.arcs) == want and len(g.arcs) == len(want)
+
+
+def test_arc_view_reads_the_arrays():
+    g = probability.collapse_multigraph(k4_target1_operator(), 1, prune_epsilon=0.1)
+    arcs = list(g.arcs)
+    assert len(arcs) == len(g.arcs) == g.weight.size == 48
+    assert g.arcs[0] == arcs[0] and g.arcs[-1] == arcs[-1]
+    assert g.arcs[2:5] == tuple(arcs[2:5])
+    assert isinstance(g.arcs[3], probability.Arc) and type(g.arcs[3].coin) is int
+    assert type(arcs[3].weight) is float and type(arcs[3].dst) is int
+    with pytest.raises(IndexError):
+        g.arcs[48]
